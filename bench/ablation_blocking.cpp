@@ -30,7 +30,7 @@
 #include "circuit/builders.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
-#include "fuse/fused_simulator.hpp"
+#include "fuse/fusion.hpp"
 #include "sched/cached_simulator.hpp"
 #include "sim/simulator.hpp"
 
@@ -111,8 +111,7 @@ int main(int argc, char** argv) {
 
   double t_hpc = 0;
   if (with_hpc) {
-    const sim::HpcSimulator hpc;
-    t_hpc = bench::timed([&] { hpc.run(sv, c); }, /*warmup=*/true);
+    t_hpc = bench::timed([&] { sim::run_hpc(sv.amplitudes(), c); }, /*warmup=*/true);
     std::printf("hpc baseline (unfused): %s s/run (%zu passes)\n", sci(t_hpc).c_str(), gates);
     results.push_back({"hpc", 0, 0, gates, t_hpc});
   }
@@ -127,11 +126,11 @@ int main(int argc, char** argv) {
   std::size_t fused_passes_ref = 0;
   for (const qubit_t k : fusion_widths) {
     // Fused baseline at this width: one full DRAM pass per fused block.
-    fuse::FusedSimulator::Options fopts;
-    fopts.fusion.max_width = k;
-    const fuse::FusedSimulator fused(fopts);
-    const fuse::FusedCircuit fplan = fused.plan(c);
-    const double t_fused = bench::timed([&] { fused.execute(sv, fplan); }, /*warmup=*/true);
+    fuse::FusionOptions fusion;
+    fusion.max_width = k;
+    const fuse::FusedCircuit fplan = fuse::fuse_circuit(c, fusion);
+    const double t_fused =
+        bench::timed([&] { fuse::execute_fused(sv.amplitudes(), n, fplan); }, /*warmup=*/true);
     std::printf("fused baseline (k=%u):  %s s/run (%zu passes)\n", k, sci(t_fused).c_str(),
                 fplan.items.size());
     results.push_back({"fused", k, 0, fplan.items.size(), t_fused});
@@ -142,13 +141,12 @@ int main(int argc, char** argv) {
 
     const qubit_t lo = static_cast<qubit_t>(std::max(10, static_cast<int>(k)));
     for (qubit_t chunk = lo; chunk <= std::min<qubit_t>(n, 18); chunk += 2) {
-      sched::CachedSimulator::Options copts;
-      copts.fusion.max_width = k;
-      copts.sched.max_block_width = k;  // honest axis: no in-cache re-narrowing
-      copts.sched.chunk_width = chunk;
-      const sched::CachedSimulator cached(copts);
-      const sched::BlockedPlan plan = cached.plan(c);
-      const double t = bench::timed([&] { cached.execute(sv, plan); }, /*warmup=*/true);
+      sched::ScheduleOptions sched;
+      sched.max_block_width = k;  // honest axis: no in-cache re-narrowing
+      sched.chunk_width = chunk;
+      const sched::BlockedPlan plan = sched::plan_blocked(c, fusion, sched);
+      const double t =
+          bench::timed([&] { sched::execute_blocked(sv.amplitudes(), plan); }, /*warmup=*/true);
       if (t_best_cached == 0 || t < t_best_cached) t_best_cached = t;
       table.add_row({std::to_string(k), std::to_string(chunk), std::to_string(plan.sweeps()),
                      std::to_string(plan.chunk_ops()), std::to_string(plan.passes()), sci(t),

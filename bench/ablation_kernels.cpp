@@ -33,7 +33,7 @@
 #include "bench_util.hpp"
 #include "circuit/builders.hpp"
 #include "common/rng.hpp"
-#include "fuse/fused_simulator.hpp"
+#include "fuse/fusion.hpp"
 #include "sim/kernels.hpp"
 #include "sim/kernels_dispatch.hpp"
 #include "sim/state_vector.hpp"

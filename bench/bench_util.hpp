@@ -2,9 +2,11 @@
 //
 // Every bench prints the same row layout the paper reports plus a
 // `paper` column with the approximate value digitized from the figure,
-// so EXPERIMENTS.md can be regenerated by running the binaries. Sizes
-// default to what fits a ~20 GB laptop-class box in seconds-to-minutes;
-// pass --full for larger sweeps (see each binary's --help).
+// so the reproduction is regenerated by running the binaries (README
+// "Substitutions" explains what stands in for the paper's machines and
+// baselines). Sizes default to what fits a ~20 GB laptop-class box in
+// seconds-to-minutes; pass --full for larger sweeps (see each binary's
+// --help).
 #pragma once
 
 #include <cstdio>

@@ -48,8 +48,7 @@ double time_simulation(qubit_t m, bool lower) {
     data.randomize(rng);
     std::copy(data.amplitudes().begin(), data.amplitudes().end(), sv.amplitudes().begin());
   }
-  const sim::HpcSimulator hpc;
-  return time_per_rep([&] { hpc.run(sv, c); }, /*min_seconds=*/0.3, /*max_reps=*/20);
+  return time_per_rep([&] { sim::run_hpc(sv.amplitudes(), c); }, /*min_seconds=*/0.3, /*max_reps=*/20);
 }
 
 double time_emulation(qubit_t m) {

@@ -7,19 +7,19 @@
 
 #include "bench_util.hpp"
 #include "circuit/builders.hpp"
-#include "sim/simulator.hpp"
+#include "engine/backend.hpp"
 
 namespace {
 
 using namespace qc;
 
-double time_entangle(const sim::Simulator& simulator, qubit_t n) {
+double time_entangle(engine::Backend& backend, qubit_t n) {
   sim::StateVector sv(n);
   const circuit::Circuit c = circuit::entangle(n);
-  simulator.run(sv, c);  // warm-up
+  backend.run_gates(sv, c);  // warm-up
   // Repeat until >= 0.3 s: a single entangle pass is microseconds at
   // small n, far below OpenMP fork/join noise.
-  return time_per_rep([&] { simulator.run(sv, c); }, 0.3, 1000);
+  return time_per_rep([&] { backend.run_gates(sv, c); }, 0.3, 1000);
 }
 
 }  // namespace
@@ -33,16 +33,16 @@ int main(int argc, char** argv) {
   bench::print_header("fig6_entangle",
                       "Fig. 6 — entangling operation: ours vs qHiPSTER vs LIQUi|>");
 
-  const sim::HpcSimulator ours;
-  const sim::QhipsterLikeSimulator qhip;
-  const sim::LiquidLikeSimulator liquid;
+  const auto ours = engine::make_backend("hpc");
+  const auto qhip = engine::make_backend("qhipster-like");
+  const auto liquid = engine::make_backend("liquid-like");
 
   Table table({"qubits", "T_ours [s]", "T_qhip [s]", "T_liquid [s]", "vs qhip",
                "vs liquid", "paper(qhip/liquid)~"});
   for (qubit_t n = static_cast<qubit_t>(n_min); n <= static_cast<qubit_t>(n_max); ++n) {
-    const double t_ours = time_entangle(ours, n);
-    const double t_qhip = time_entangle(qhip, n);
-    const double t_liquid = time_entangle(liquid, n);
+    const double t_ours = time_entangle(*ours, n);
+    const double t_qhip = time_entangle(*qhip, n);
+    const double t_liquid = time_entangle(*liquid, n);
     table.add_row({std::to_string(n), sci(t_ours), sci(t_qhip), sci(t_liquid),
                    fixed(t_qhip / t_ours, 2) + "x", fixed(t_liquid / t_ours, 1) + "x",
                    "~2x / ~6x"});

@@ -21,6 +21,7 @@
 #include "common/timer.hpp"
 #include "engine/engine.hpp"
 #include "revcirc/modular.hpp"
+#include "sim/simulator.hpp"
 
 namespace {
 
@@ -75,7 +76,6 @@ int main(int argc, char** argv) {
   std::printf("simulation: %zu gates on %u qubits ('%s')  %.4f s\n", full.size(),
               layout.total_qubits(), gate_result.backend.c_str(), t_gate);
 
-  const sim::HpcSimulator hpc;
   WallTimer timer;
 
   // --- emulation ---------------------------------------------------------
@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
     circuit::Circuit prep(t + w);
     for (qubit_t q = 0; q < t; ++q) prep.h(q);
     prep.x(t);  // x register = |1>
-    hpc.run(emu_sv, prep);
+    sim::run_hpc(emu_sv.amplitudes(), prep);
   }
   emu::Emulator emulator(emu_sv);
   timer.reset();

@@ -2,8 +2,8 @@
 //
 // Every bench prints rows in the same layout the paper reports (one row
 // per sweep point, columns for simulation time, emulation time, speedup,
-// and the paper's approximate value where known), so EXPERIMENTS.md can
-// be regenerated by running the binaries.
+// and the paper's approximate value where known), so the reproduction
+// is regenerated by running the binaries (README "Substitutions").
 #pragma once
 
 #include <string>

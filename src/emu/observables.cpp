@@ -50,8 +50,7 @@ double expectation_pauli(const sim::StateVector& sv, const std::string& axes) {
         throw std::invalid_argument("expectation_pauli: bad axis character");
     }
   }
-  const sim::HpcSimulator hpc;
-  hpc.run(copy, rot);
+  sim::run_hpc(copy.amplitudes(), rot);
   return expectation_z_string(copy, zmask);
 }
 

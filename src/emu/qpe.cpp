@@ -23,14 +23,13 @@ Matrix build_unitary(const circuit::Circuit& c) {
   // columns; the per-column kernels stay serial (nested OpenMP regions
   // do not spawn extra teams by default).
   Matrix ut(size, size);
-  const sim::HpcSimulator hpc;
 #pragma omp parallel
   {
     sim::StateVector col(n);
 #pragma omp for schedule(dynamic, 8)
     for (index_t j = 0; j < size; ++j) {
       col.set_basis(j);
-      hpc.run(col, c);
+      sim::run_hpc(col.amplitudes(), c);
       complex_t* row = &ut(j, 0);
       std::copy(col.amplitudes().begin(), col.amplitudes().end(), row);
     }
@@ -87,10 +86,9 @@ QpeResult qpe_simulate(const circuit::Circuit& u_circuit, const sim::StateVector
     std::fill(dst.begin(), dst.end(), complex_t{});
     std::copy(input.amplitudes().begin(), input.amplitudes().end(), dst.begin());
   }
-  const sim::HpcSimulator hpc;
   circuit::Circuit hadamards(total);
   for (unsigned j = 0; j < b; ++j) hadamards.h(n + j);
-  hpc.run(joint, hadamards);
+  sim::run_hpc(joint.amplitudes(), hadamards);
 
   // Controlled U^(2^j): the controlled circuit applied 2^j times —
   // exactly the paper's accounting of 2^b - 1 total applications.
@@ -98,7 +96,7 @@ QpeResult qpe_simulate(const circuit::Circuit& u_circuit, const sim::StateVector
   for (unsigned j = 0; j < b; ++j) {
     const circuit::Circuit controlled = widened.controlled(n + j);
     const index_t reps = index_t{1} << j;
-    for (index_t r = 0; r < reps; ++r) hpc.run(joint, controlled);
+    for (index_t r = 0; r < reps; ++r) sim::run_hpc(joint.amplitudes(), controlled);
   }
 
   // Inverse QFT on the ancilla block, then read the ancilla marginal.
@@ -106,7 +104,7 @@ QpeResult qpe_simulate(const circuit::Circuit& u_circuit, const sim::StateVector
   std::vector<qubit_t> map(b);
   for (unsigned j = 0; j < b; ++j) map[j] = n + j;
   iqft.compose_mapped(circuit::inverse_qft(static_cast<qubit_t>(b)), map);
-  hpc.run(joint, iqft);
+  sim::run_hpc(joint.amplitudes(), iqft);
 
   res.seconds_simulate = timer.seconds();
   res.distribution = joint.register_distribution(n, static_cast<qubit_t>(b));
@@ -220,7 +218,6 @@ IterativeQpeResult iterative_phase_estimation(const circuit::Circuit& u_circuit,
     std::fill(dst.begin(), dst.end(), complex_t{});
     std::copy(input.amplitudes().begin(), input.amplitudes().end(), dst.begin());
   }
-  const sim::HpcSimulator hpc;
   const circuit::Circuit controlled = u_circuit.widened(n + 1).controlled(anc);
 
   // Round r applies controlled-U^(2^{b-1-r}): the ancilla picks up the
@@ -238,21 +235,21 @@ IterativeQpeResult iterative_phase_estimation(const circuit::Circuit& u_circuit,
         correction -= 2.0 * std::numbers::pi /
                       static_cast<double>(index_t{1} << (r - k + 1));
     if (correction != 0.0) open.phase(anc, correction);
-    hpc.run(joint, open);
+    sim::run_hpc(joint.amplitudes(), open);
 
     const index_t reps = index_t{1} << j;
-    for (index_t rep = 0; rep < reps; ++rep) hpc.run(joint, controlled);
+    for (index_t rep = 0; rep < reps; ++rep) sim::run_hpc(joint.amplitudes(), controlled);
 
     circuit::Circuit close(n + 1);
     close.h(anc);
-    hpc.run(joint, close);
+    sim::run_hpc(joint.amplitudes(), close);
     const int bit = joint.measure_and_collapse(anc, rng);
     if (bit) {
       phase_bits = bits::set(phase_bits, r);
       // Reset the recycled ancilla to |0> for the next round.
       circuit::Circuit reset(n + 1);
       reset.x(anc);
-      hpc.run(joint, reset);
+      sim::run_hpc(joint.amplitudes(), reset);
     }
   }
   res.outcome = phase_bits;
@@ -269,8 +266,7 @@ models::QpeCosts measure_qpe_costs(const circuit::Circuit& u_circuit) {
     sim::StateVector sv(n);
     Rng rng(n);
     sv.randomize(rng);
-    const sim::HpcSimulator hpc;
-    costs.t_apply_u = time_per_rep([&] { hpc.run(sv, u_circuit); }, 0.2, 200);
+    costs.t_apply_u = time_per_rep([&] { sim::run_hpc(sv.amplitudes(), u_circuit); }, 0.2, 200);
   }
   Matrix u(1, 1);
   costs.t_construct = time_once([&] { u = build_unitary(u_circuit); });

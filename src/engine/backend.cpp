@@ -14,7 +14,6 @@
 #include "cluster/fault.hpp"
 #include "emu/dist_emu.hpp"
 #include "emu/observables.hpp"
-#include "fuse/fused_simulator.hpp"
 #include "models/perf_model.hpp"
 #include "obs/trace.hpp"
 #include "sched/cached_simulator.hpp"
@@ -49,82 +48,70 @@ BackendCounters Backend::counters() const { return {}; }
 
 namespace {
 
-/// Wraps a plain sim::Simulator: gate segments only.
-class GateLevelBackend final : public Backend {
- public:
-  explicit GateLevelBackend(std::unique_ptr<sim::Simulator> s) : sim_(std::move(s)) {}
-
-  [[nodiscard]] std::string name() const override { return sim_->name(); }
-  void run_gates(sim::StateVector& sv, const circuit::Circuit& c) override {
-    sim_->run(sv, c);
+/// Runs one gate segment on the fp64 host state at `precision` — the
+/// one narrow/widen point of every host-state backend. `run` is called
+/// with the amplitude span at the execution scalar: the host state
+/// itself at fp64; at fp32 a float copy narrowed once per segment
+/// (BasicStateVector::cast) and widened back after, two extra state
+/// passes amortized over the segment while every kernel sweep inside
+/// moves half the bytes. Measurement keeps reading the fp64 host state.
+template <typename Run>
+void run_segment(sim::StateVector& sv, const circuit::Circuit& c, Precision precision,
+                 Run&& run) {
+  if (c.qubits() != sv.qubits()) throw std::invalid_argument("run: qubit count mismatch");
+  if (c.empty()) return;
+  if (precision == Precision::kF64) {
+    run(sv.amplitudes());
+    return;
   }
-
- private:
-  std::unique_ptr<sim::Simulator> sim_;
-};
-
-/// Widens an fp32 working state back into the fp64 host state (the
-/// second half of the convert-at-segment-boundary round trip).
-void widen_into(const sim::BasicStateVector<float>& src, sim::StateVector& dst) {
-  const auto s = src.amplitudes();
-  const auto d = dst.amplitudes();
+  sim::BasicStateVector<float> work = sv.cast<float>();
+  run(work.amplitudes());
+  const auto s = work.amplitudes();
+  const auto d = sv.amplitudes();
   const index_t count = s.size();
 #pragma omp parallel for schedule(static) if (worth_parallelizing(count))
   for (index_t i = 0; i < count; ++i) d[i] = static_cast<complex_t>(s[i]);
 }
 
-/// Gate-level backend running segments at fp32: the fp64 host state is
-/// narrowed once per segment (BasicStateVector::cast), the segment runs
-/// through the float-instantiated kernels, and the result widens back —
-/// two extra state passes per segment, amortized over its gates, while
-/// every kernel sweep inside moves half the bytes. Measurement ops keep
-/// reading the fp64 host state through the default virtuals.
-class Fp32SegmentBackend final : public Backend {
+/// A gate-level backend: one algorithm `algo(a, c, opts)`, generic over
+/// the scalar of the amplitude span `a`, run through run_segment at
+/// opts.precision.
+template <typename Algo>
+class GateBackend final : public Backend {
  public:
-  using Runner =
-      std::function<void(std::span<basic_complex_t<float>>, qubit_t, const circuit::Circuit&)>;
-
-  Fp32SegmentBackend(std::string name, Runner runner)
-      : name_(std::move(name)), runner_(std::move(runner)) {}
+  GateBackend(std::string name, const RunOptions& opts, Algo algo)
+      : name_(std::move(name)), opts_(opts), algo_(algo) {}
 
   [[nodiscard]] std::string name() const override { return name_; }
 
   void run_gates(sim::StateVector& sv, const circuit::Circuit& c) override {
-    if (c.empty()) return;
-    sim::BasicStateVector<float> work = sv.cast<float>();
-    runner_(work.amplitudes(), work.qubits(), c);
-    widen_into(work, sv);
+    run_segment(sv, c, opts_.precision, [&](auto a) { algo_(a, c, opts_); });
   }
 
  private:
   std::string name_;
-  Runner runner_;
+  RunOptions opts_;
+  Algo algo_;
 };
 
 /// The paper's dispatch rule as a backend: high-level ops through the
 /// emu::Emulator shortcuts, gate segments through the cache-blocked
-/// (fused + sweep-scheduled) simulator.
+/// (fused + sweep-scheduled) pipeline of the "cached" backend.
 class AutoBackend final : public Backend {
  public:
   explicit AutoBackend(const RunOptions& opts)
-      : cached_(sched::CachedSimulator::Options{opts.fusion, opts.sched}),
-        precision_(opts.precision) {}
+      : fusion_(opts.fusion), sched_(opts.sched), precision_(opts.precision) {}
 
   [[nodiscard]] std::string name() const override { return "auto"; }
   [[nodiscard]] bool emulates() const override { return true; }
 
   void run_gates(sim::StateVector& sv, const circuit::Circuit& c) override {
-    if (precision_ == Precision::kF32) {
-      // Convert-at-segment-boundary: the emulator's high-level shortcuts
-      // (FFTs, permutations) stay fp64 on the host state; only the gate
-      // segments between them run through the float kernels.
-      if (c.empty()) return;
-      sim::BasicStateVector<float> work = sv.cast<float>();
-      sched::execute_blocked<float>(work.amplitudes(), cached_.plan(c));
-      widen_into(work, sv);
-      return;
-    }
-    cached_.run(sv, c);
+    // The emulator's high-level shortcuts (FFTs, permutations) stay fp64
+    // on the host state; only the gate segments between them follow
+    // RunOptions::precision.
+    run_segment(sv, c, precision_, [&](auto a) {
+      sched::execute_blocked(a, sched::plan_blocked(c, fusion_, sched_));
+    });
   }
 
   void run_highlevel(sim::StateVector& sv, const Op& op) override {
@@ -155,7 +142,8 @@ class AutoBackend final : public Backend {
     return *emulator_;
   }
 
-  sched::CachedSimulator cached_;
+  fuse::FusionOptions fusion_;
+  sched::ScheduleOptions sched_;
   Precision precision_;
   std::unique_ptr<emu::Emulator> emulator_;
   sim::StateVector* bound_ = nullptr;
@@ -192,7 +180,6 @@ class DistBackendT final : public Backend {
   explicit DistBackendT(const RunOptions& opts)
       : ranks_(opts.dist_ranks),
         policy_(opts.dist_policy),
-        resident_mode_(opts.dist_resident),
         timeout_s_(opts.dist_timeout_s),
         ckpt_interval_(opts.dist_checkpoint_interval),
         max_retries_(opts.dist_max_retries) {
@@ -246,7 +233,6 @@ class DistBackendT final : public Backend {
         restore_and_replay();
       }
     }
-    if (!resident_mode_) flush_to_host();
   }
 
   index_t measure_register(sim::StateVector& sv, RegRef r, double u,
@@ -290,16 +276,6 @@ class DistBackendT final : public Backend {
     // cannot reach; re-checkpoint it so later segment retries restore
     // *post*-measurement state.
     if (collapse && checkpoints_enabled()) take_checkpoint();
-    // Per-op baseline fidelity: the pre-session code gathered only when
-    // the op mutated the state — a read-only measure pays its scatter
-    // and drops the chunks.
-    if (!resident_mode_) {
-      if (collapse) {
-        flush_to_host();
-      } else {
-        discard_resident();
-      }
-    }
     return outcome;
   }
 
@@ -329,7 +305,6 @@ class DistBackendT final : public Backend {
         note_retry(attempt);
       }
     }
-    if (!resident_mode_) discard_resident();  // read-only: no gather
     return value;
   }
 
@@ -468,17 +443,6 @@ class DistBackendT final : public Backend {
     gather_span.end();
     release_slots();
     host_bytes_ += models::staging_bytes(resident_n_, sizeof(value_type));
-    resident_ = false;
-    host_ = nullptr;
-  }
-
-  /// Drops the resident chunks *without* gathering — legal only when
-  /// the resident state still equals the bound host state (read-only
-  /// ops in the per-op baseline, where residency was created this op
-  /// and nothing mutated or permuted it).
-  void discard_resident() {
-    if (!resident_) return;
-    release_slots();
     resident_ = false;
     host_ = nullptr;
   }
@@ -664,7 +628,6 @@ class DistBackendT final : public Backend {
   int ranks_;
   sim::CommPolicy policy_;
   sched::DistScheduleOptions dopts_;
-  bool resident_mode_;
 
   std::unique_ptr<cluster::ClusterSession> session_;
   std::vector<std::unique_ptr<sim::BasicDistStateVector<T>>> slots_;  ///< One per rank.
@@ -696,139 +659,71 @@ class DistBackendT final : public Backend {
   bool ckpt_valid_ = false;
 };
 
-struct BackendEntry {
-  BackendFactory make;
-  SimulatorFactory make_sim;  // null for emulation-only backends
-};
-
-/// Per-gate fp32 runner over the float-instantiated kernel entry
-/// points (the scalar/AVX2/AVX-512 choice still goes through the
-/// runtime dispatch tables inside).
-Fp32SegmentBackend::Runner fp32_per_gate_runner(bool hpc_style, bool parallel) {
-  return [hpc_style, parallel](std::span<basic_complex_t<float>> a, qubit_t n,
-                               const circuit::Circuit& c) {
-    for (const circuit::Gate& g : c.gates()) {
-      if (hpc_style)
-        sim::apply_gate_hpc<float>(a, n, g);
-      else
-        sim::apply_gate_generic<float>(a, n, g, parallel);
-    }
+template <typename Algo>
+BackendFactory gate_level(const char* name, Algo algo) {
+  return [name, algo](const RunOptions& opts) -> std::unique_ptr<Backend> {
+    return std::make_unique<GateBackend<Algo>>(name, opts, algo);
   };
 }
 
-std::map<std::string, BackendEntry>& registry() {
-  static std::map<std::string, BackendEntry> reg = [] {
-    std::map<std::string, BackendEntry> r;
-    // Gate-level entries dispatch on RunOptions::precision: fp64 wraps
-    // the plain sim::Simulator; fp32 wraps the same algorithm's float
-    // instantiation behind the convert-at-segment-boundary adapter.
-    const auto gate_level = [](const char* name, SimulatorFactory sf,
-                               Fp32SegmentBackend::Runner f32) {
-      return BackendEntry{
-          [name, sf, f32](const RunOptions& opts) -> std::unique_ptr<Backend> {
-            if (opts.precision == Precision::kF32)
-              return std::make_unique<Fp32SegmentBackend>(name, f32);
-            return std::make_unique<GateLevelBackend>(sf());
-          },
-          sf};
+std::map<std::string, BackendFactory>& registry() {
+  static std::map<std::string, BackendFactory> reg = [] {
+    using circuit::Circuit;
+    std::map<std::string, BackendFactory> r;
+    r["hpc"] = gate_level("hpc", [](auto a, const Circuit& c, const RunOptions&) {
+      sim::run_hpc(a, c);
+    });
+    r["qhipster-like"] = gate_level("qhipster-like", [](auto a, const Circuit& c,
+                                                         const RunOptions&) {
+      sim::run_generic(a, c, /*parallel=*/true);
+    });
+    r["liquid-like"] = gate_level("liquid-like", [](auto a, const Circuit& c,
+                                                     const RunOptions&) {
+      sim::run_generic(a, c, /*parallel=*/false);
+    });
+    r["fused"] = gate_level("fused", [](auto a, const Circuit& c, const RunOptions& o) {
+      fuse::execute_fused(a, c.qubits(), fuse::fuse_circuit(c, o.fusion));
+    });
+    r["cached"] = gate_level("cached", [](auto a, const Circuit& c, const RunOptions& o) {
+      sched::execute_blocked(a, sched::plan_blocked(c, o.fusion, o.sched));
+    });
+    r["auto"] = [](const RunOptions& opts) -> std::unique_ptr<Backend> {
+      return std::make_unique<AutoBackend>(opts);
     };
-    r["hpc"] = gate_level(
-        "hpc", [] { return std::make_unique<sim::HpcSimulator>(); },
-        fp32_per_gate_runner(/*hpc_style=*/true, /*parallel=*/true));
-    r["qhipster-like"] = gate_level(
-        "qhipster-like", [] { return std::make_unique<sim::QhipsterLikeSimulator>(); },
-        fp32_per_gate_runner(/*hpc_style=*/false, /*parallel=*/true));
-    r["liquid-like"] = gate_level(
-        "liquid-like", [] { return std::make_unique<sim::LiquidLikeSimulator>(); },
-        fp32_per_gate_runner(/*hpc_style=*/false, /*parallel=*/false));
-    r["fused"] = BackendEntry{
-        [](const RunOptions& opts) -> std::unique_ptr<Backend> {
-          if (opts.precision == Precision::kF32)
-            return std::make_unique<Fp32SegmentBackend>(
-                "fused", [fusion = opts.fusion](std::span<basic_complex_t<float>> a,
-                                                qubit_t n, const circuit::Circuit& c) {
-                  fuse::execute_fused<float>(a, n, fuse::fuse_circuit(c, fusion));
-                });
-          return std::make_unique<GateLevelBackend>(std::make_unique<fuse::FusedSimulator>(
-              fuse::FusedSimulator::Options{opts.fusion}));
-        },
-        [] { return std::make_unique<fuse::FusedSimulator>(); }};
-    r["cached"] = BackendEntry{
-        [](const RunOptions& opts) -> std::unique_ptr<Backend> {
-          if (opts.precision == Precision::kF32) {
-            auto cached = std::make_shared<sched::CachedSimulator>(
-                sched::CachedSimulator::Options{opts.fusion, opts.sched});
-            return std::make_unique<Fp32SegmentBackend>(
-                "cached", [cached](std::span<basic_complex_t<float>> a, qubit_t,
-                                   const circuit::Circuit& c) {
-                  sched::execute_blocked<float>(a, cached->plan(c));
-                });
-          }
-          return std::make_unique<GateLevelBackend>(std::make_unique<sched::CachedSimulator>(
-              sched::CachedSimulator::Options{opts.fusion, opts.sched}));
-        },
-        [] { return std::make_unique<sched::CachedSimulator>(); }};
-    r["auto"] = BackendEntry{
-        [](const RunOptions& opts) -> std::unique_ptr<Backend> {
-          return std::make_unique<AutoBackend>(opts);
-        },
-        nullptr};
-    r["dist"] = BackendEntry{
-        [](const RunOptions& opts) -> std::unique_ptr<Backend> {
-          if (opts.precision == Precision::kF32)
-            return std::make_unique<DistBackendT<float>>(opts);
-          return std::make_unique<DistBackendT<double>>(opts);
-        },
-        nullptr};
+    r["dist"] = [](const RunOptions& opts) -> std::unique_ptr<Backend> {
+      if (opts.precision == Precision::kF32) return std::make_unique<DistBackendT<float>>(opts);
+      return std::make_unique<DistBackendT<double>>(opts);
+    };
     return r;
   }();
   return reg;
 }
 
-[[noreturn]] void throw_unknown(const std::string& what, const std::string& name) {
-  std::string names;
-  for (const std::string& n : backend_names()) {
-    if (!names.empty()) names += ", ";
-    names += n;
-  }
-  throw std::invalid_argument(what + ": unknown backend '" + name + "' (valid: " + names +
-                              ")");
-}
-
 }  // namespace
 
-void register_backend(const std::string& name, BackendFactory factory,
-                      SimulatorFactory sim_factory) {
+void register_backend(const std::string& name, BackendFactory factory) {
   if (name.empty() || !factory)
     throw std::invalid_argument("register_backend: empty name or null factory");
-  auto [it, inserted] =
-      registry().emplace(name, BackendEntry{std::move(factory), std::move(sim_factory)});
-  if (!inserted)
+  if (!registry().emplace(name, std::move(factory)).second)
     throw std::invalid_argument("register_backend: '" + name + "' already registered");
 }
 
 std::vector<std::string> backend_names() {
   std::vector<std::string> names;
   names.reserve(registry().size());
-  for (const auto& [name, entry] : registry()) names.push_back(name);
+  for (const auto& [name, factory] : registry()) names.push_back(name);
   return names;  // std::map iterates sorted
 }
 
 std::unique_ptr<Backend> make_backend(const std::string& name, const RunOptions& opts) {
   const auto it = registry().find(name);
-  if (it == registry().end()) throw_unknown("make_backend", name);
-  return it->second.make(opts);
-}
-
-std::unique_ptr<sim::Simulator> make_gate_simulator(const std::string& name) {
-  const auto it = registry().find(name);
-  if (it == registry().end()) throw_unknown("make_simulator", name);
-  if (!it->second.make_sim)
-    throw std::invalid_argument("make_simulator: backend '" + name +
-                                "' is not a plain sim::Simulator (it emulates "
-                                "high-level ops or runs distributed); run it via "
-                                "engine::Engine");
-  return it->second.make_sim();
+  if (it == registry().end()) {
+    std::string names;
+    for (const std::string& n : backend_names()) names += (names.empty() ? "" : ", ") + n;
+    throw std::invalid_argument("make_backend: unknown backend '" + name + "' (valid: " +
+                                names + ")");
+  }
+  return it->second(opts);
 }
 
 }  // namespace qc::engine

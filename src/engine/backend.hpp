@@ -11,12 +11,14 @@
 //    segments — Engine::run lowers high-level ops first;
 //  * emulating backends ("auto") report emulates() == true and execute
 //    high-level ops at their mathematical description (emu::Emulator),
-//    dispatching gate segments to the fused simulator — the paper's §3
-//    contract expressed as one dispatch rule.
+//    dispatching gate segments to the cache-blocked pipeline — the
+//    paper's §3 contract expressed as one dispatch rule.
 //
-// register_backend() absorbs what used to be ad-hoc branches inside
-// sim::make_simulator; that factory is now a thin shim over
-// make_gate_simulator() kept for source compatibility.
+// The five host-state gate-level backends are the span-level algorithms
+// of sim/simulator.hpp, fuse/fusion.hpp and sched/cached_simulator.hpp
+// behind one adapter that runs them in place at fp64, or on a narrowed
+// fp32 copy at RunOptions::precision = kF32. To run a circuit on a
+// StateVector through any of them: make_backend(name)->run_gates(sv, c).
 #pragma once
 
 #include <cstdint>
@@ -29,7 +31,7 @@
 #include "fuse/fusion.hpp"
 #include "sched/schedule.hpp"
 #include "sim/dist_sv.hpp"
-#include "sim/simulator.hpp"
+#include "sim/state_vector.hpp"
 
 namespace qc::engine {
 
@@ -74,15 +76,6 @@ struct RunOptions {
   /// Allow the "dist" backend's cost-gated global<->local qubit
   /// exchange passes (off: every global-qubit gate runs per-gate).
   bool dist_remap = true;
-  /// Keep the "dist" backend's distributed state resident across the
-  /// whole run: one scatter at first use, ops executed against the
-  /// live per-rank chunks (gate segments chain their qubit permutation
-  /// forward instead of restoring logical order between segments), one
-  /// gather at run end. Off: the pre-session behaviour — every
-  /// engine-routed op pays its own scatter, and every mutating op its
-  /// own gather (kept as the measurable baseline; see
-  /// models::t_host_staging_seconds).
-  bool dist_resident = true;
   /// Collect a structured trace of the run (obs::Tracer): hierarchical
   /// spans across every layer — engine op, fusion, sweep scheduling,
   /// chunk sweeps, dist exchanges, per-rank cluster jobs — returned in
@@ -130,8 +123,8 @@ struct RunOptions {
 /// trace. `host_bytes` is data staged between the engine's host state
 /// and backend-resident storage (the dist backend's scatter/gather);
 /// `net_bytes` is data moved between ranks. Engine::run records per-op
-/// deltas, so a resident run shows one scatter on the first op and one
-/// gather at finalize instead of two stagings on every op.
+/// deltas, so a dist run shows one scatter on the first op and one
+/// gather at finalize.
 struct BackendCounters {
   std::uint64_t host_bytes = 0;
   std::uint64_t net_bytes = 0;
@@ -178,14 +171,10 @@ class Backend {
 };
 
 using BackendFactory = std::function<std::unique_ptr<Backend>(const RunOptions&)>;
-using SimulatorFactory = std::function<std::unique_ptr<sim::Simulator>()>;
 
-/// Registers a backend under `name`. A non-null `sim_factory` marks the
-/// backend as wrapping a plain gate-level sim::Simulator, reachable
-/// through sim::make_simulator(name). Throws std::invalid_argument on a
+/// Registers a backend under `name`. Throws std::invalid_argument on a
 /// duplicate name.
-void register_backend(const std::string& name, BackendFactory factory,
-                      SimulatorFactory sim_factory = nullptr);
+void register_backend(const std::string& name, BackendFactory factory);
 
 /// Sorted names of every registered backend (builtins plus user
 /// registrations).
@@ -195,11 +184,5 @@ void register_backend(const std::string& name, BackendFactory factory,
 /// std::invalid_argument listing backend_names().
 [[nodiscard]] std::unique_ptr<Backend> make_backend(const std::string& name,
                                                     const RunOptions& opts = {});
-
-/// The gate-level sim::Simulator a registered backend wraps — the
-/// delegate behind sim::make_simulator. Throws std::invalid_argument for
-/// unknown names (listing the registry) and for emulation-only backends
-/// like "auto".
-[[nodiscard]] std::unique_ptr<sim::Simulator> make_gate_simulator(const std::string& name);
 
 }  // namespace qc::engine

@@ -4,11 +4,13 @@
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "common/bits.hpp"
 #include "linalg/gemm.hpp"
 #include "obs/trace.hpp"
 #include "sim/kernels.hpp"
+#include "sim/simulator.hpp"
 
 namespace qc::fuse {
 
@@ -87,7 +89,7 @@ void merge(Builder& b, const Gate& g, index_t gmask) {
 // bench/ablation_fusion on a single-core AVX2 box (dense uncontrolled
 // 2x2 sweep == 3.0). Controls divide the touched fraction by 2^c.
 
-/// Predicted cost of one source gate through HpcSimulator's fast paths.
+/// Predicted cost of one source gate through sim::apply_gate_hpc's fast paths.
 double gate_cost(const Gate& g) {
   const auto ctrl = static_cast<double>(index_t{1} << g.controls.size());
   switch (g.kind) {
@@ -252,5 +254,58 @@ FusedCircuit fuse_circuit(const circuit::Circuit& c, const FusionOptions& opts) 
   }
   return out;
 }
+
+template <typename T>
+void execute_fused(std::span<basic_complex_t<T>> a, qubit_t n, const FusedCircuit& plan) {
+  if (a.size() != dim(plan.n) || plan.n != n)
+    throw std::invalid_argument("execute_fused: amplitude count mismatch");
+  // Narrowing scratch reused across blocks (empty and untouched at
+  // T = double, where the views alias the plan).
+  std::vector<basic_complex_t<T>> payload;
+  for (const FusedItem& item : plan.items) {
+    if (item.kind == FusedItem::Kind::Passthrough) {
+      sim::apply_gate_hpc<T>(a, n, item.gate);
+      continue;
+    }
+    const FusedOp& op = item.block;
+    obs::Span span("fuse.block");
+    if (obs::enabled()) {
+      span.arg("width", static_cast<double>(op.width()));
+      span.arg("gates", static_cast<double>(op.gate_count));
+    }
+    if (op.diagonal) {
+      // All folded gates were diagonal, so the block unitary is too:
+      // apply just the plan-time-extracted diagonal in one multiply-only
+      // sweep (no allocation in the hot loop).
+      std::span<const basic_complex_t<T>> d;
+      if constexpr (std::is_same_v<T, double>) {
+        d = {op.diag.data(), op.diag.size()};
+      } else {
+        payload.resize(op.diag.size());
+        for (std::size_t i = 0; i < op.diag.size(); ++i)
+          payload[i] = static_cast<basic_complex_t<T>>(op.diag[i]);
+        d = {payload.data(), payload.size()};
+      }
+      sim::kernels::apply_multi_diagonal<T>(a, n, op.qubits, d);
+      continue;
+    }
+    const std::size_t count = op.unitary.rows() * op.unitary.cols();
+    std::span<const basic_complex_t<T>> u;
+    if constexpr (std::is_same_v<T, double>) {
+      u = {op.unitary.data(), count};
+    } else {
+      payload.resize(count);
+      for (std::size_t i = 0; i < count; ++i)
+        payload[i] = static_cast<basic_complex_t<T>>(op.unitary.data()[i]);
+      u = {payload.data(), count};
+    }
+    sim::kernels::apply_multi<T>(a, n, op.qubits, u);
+  }
+}
+
+template void execute_fused<float>(std::span<basic_complex_t<float>>, qubit_t,
+                                   const FusedCircuit&);
+template void execute_fused<double>(std::span<basic_complex_t<double>>, qubit_t,
+                                    const FusedCircuit&);
 
 }  // namespace qc::fuse

@@ -17,9 +17,11 @@
 //
 // Gates whose own support exceeds max_width (e.g. a 10-qubit
 // multi-controlled Z) are kept as passthrough items and executed by the
-// regular specialized fast paths.
+// regular specialized fast paths. execute_fused runs a plan; repeated
+// executions of one circuit pay the fusion GEMMs once.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -94,5 +96,15 @@ struct FusedCircuit {
 /// passthrough items so the executor's specialized fast paths stay in
 /// charge of lone gates.
 [[nodiscard]] FusedCircuit fuse_circuit(const circuit::Circuit& c, const FusionOptions& opts = {});
+
+/// Executes a fused plan on a raw amplitude array of 2^n amplitudes at
+/// scalar T — the "fused" backend is execute_fused(a, n, fuse_circuit(c)).
+/// Multi-gate blocks go through the one-pass k-qubit kernels
+/// (apply_multi / apply_multi_diagonal), passthrough gates through
+/// sim::apply_gate_hpc. The plan (and its block GEMMs) stays double
+/// precision; block payloads are narrowed once per block. Instantiated
+/// for float/double.
+template <typename T>
+void execute_fused(std::span<basic_complex_t<T>> a, qubit_t n, const FusedCircuit& plan);
 
 }  // namespace qc::fuse

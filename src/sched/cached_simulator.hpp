@@ -1,8 +1,8 @@
-// CachedSimulator — the cache-blocked execution backend ("cached").
+// The cache-blocked execution pipeline ("cached" backend).
 //
-// run() lowers the circuit through fuse::fuse_circuit (same pass as the
-// "fused" backend), then through sched::schedule, and executes the
-// blocked plan:
+// plan_blocked lowers a circuit through fuse::fuse_circuit (the same
+// pass as the "fused" backend), then through sched::schedule;
+// execute_blocked runs the blocked plan:
 //
 //  * Sweep items walk the state vector chunk by chunk (2^L amplitudes,
 //    L = plan.chunk_width) and apply every op of the sweep to a chunk
@@ -16,9 +16,7 @@
 //  * Global items (ops wider than a chunk, or not worth remapping) run
 //    through the same full-vector kernels the fused backend uses.
 //
-// Per-gate apply_gate() is identical to HpcSimulator — blocking is a
-// cross-op optimization. plan() + execute() let iterative callers pay
-// fusion + scheduling once.
+// Iterative callers build the plan once and execute it repeatedly.
 #pragma once
 
 #include "fuse/fusion.hpp"
@@ -27,39 +25,22 @@
 
 namespace qc::sched {
 
+/// The fusion + blocking pipeline of the "cached" backend: fuse_circuit
+/// at min(fusion.max_width, sched.max_block_width) — the full-pass
+/// saving that justifies wide blocks does not apply inside a
+/// chunk-resident sweep (see ScheduleOptions::max_block_width) — then
+/// schedule(). The one place that caps the fusion width; the "auto"
+/// backend and the distributed planner's rank-local runs share it.
+[[nodiscard]] BlockedPlan plan_blocked(const circuit::Circuit& c, const fuse::FusionOptions& fusion,
+                                       const ScheduleOptions& sched);
+
 /// Executes a blocked plan on a raw amplitude array of 2^plan.n
-/// amplitudes. This is the executor CachedSimulator::execute wraps and
-/// the rank-local entry point of the distributed executor (each rank
-/// runs its chunk's plan on dist_sv's local window). The plan itself
+/// amplitudes — the "cached" backend is execute_blocked(a,
+/// plan_blocked(c, ...)), and each rank of the distributed executor runs
+/// its chunk's plan on dist_sv's local window. The plan itself
 /// stays double precision; executing at T = float narrows each op's
 /// payload once, outside the chunk loop. Instantiated for float/double.
 template <typename T>
 void execute_blocked(std::span<basic_complex_t<T>> a, const BlockedPlan& plan);
-
-class CachedSimulator final : public sim::Simulator {
- public:
-  struct Options {
-    fuse::FusionOptions fusion;
-    ScheduleOptions sched;
-  };
-
-  CachedSimulator() = default;
-  explicit CachedSimulator(Options opts) : opts_(opts) {}
-
-  [[nodiscard]] std::string name() const override { return "cached"; }
-
-  void apply_gate(sim::StateVector& sv, const circuit::Gate& g) const override;
-  void run(sim::StateVector& sv, const circuit::Circuit& c) const override;
-
-  /// The fusion + blocking pipeline this backend would run on `c`.
-  [[nodiscard]] BlockedPlan plan(const circuit::Circuit& c) const;
-
-  /// Executes a prebuilt plan (must match sv's qubit count).
-  void execute(sim::StateVector& sv, const BlockedPlan& plan) const;
-
- private:
-  sim::HpcSimulator hpc_;
-  Options opts_;
-};
 
 }  // namespace qc::sched

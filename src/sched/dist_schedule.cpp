@@ -186,11 +186,9 @@ DistPlan dist_schedule(const Circuit& c, qubit_t local_qubits,
   Circuit segment(nl);
   const auto flush = [&] {
     if (segment.empty()) return;
-    fuse::FusionOptions fusion = opts.fusion;
-    fusion.max_width = std::min(fusion.max_width, opts.sched.max_block_width);
     DistPlanItem item;
     item.kind = DistPlanItem::Kind::Local;
-    item.local = schedule(fuse::fuse_circuit(segment, fusion), opts.sched);
+    item.local = plan_blocked(segment, opts.fusion, opts.sched);
     plan.items.push_back(std::move(item));
     segment = Circuit(nl);
   };

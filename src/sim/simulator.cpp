@@ -1,8 +1,7 @@
 #include "sim/simulator.hpp"
 
 #include <stdexcept>
-
-#include "engine/backend.hpp"
+#include <string>
 
 namespace qc::sim {
 
@@ -25,11 +24,6 @@ std::pair<complex_t, complex_t> diagonal_entries(const Gate& g) {
   if (!g.diagonal()) throw std::invalid_argument("diagonal_entries: gate is not diagonal");
   const linalg::Matrix m = gate_block_matrix(g);
   return {m(0, 0), m(1, 1)};
-}
-
-void Simulator::run(StateVector& sv, const circuit::Circuit& c) const {
-  if (c.qubits() != sv.qubits()) throw std::invalid_argument("run: qubit count mismatch");
-  for (const Gate& g : c.gates()) apply_gate(sv, g);
 }
 
 template <typename T>
@@ -56,14 +50,6 @@ template void apply_gate_generic<float>(std::span<basic_complex_t<float>>, qubit
 template void apply_gate_generic<double>(std::span<basic_complex_t<double>>, qubit_t,
                                          const Gate&, bool);
 
-void LiquidLikeSimulator::apply_gate(StateVector& sv, const Gate& g) const {
-  apply_gate_generic<double>(sv.amplitudes(), sv.qubits(), g, /*parallel=*/false);
-}
-
-void QhipsterLikeSimulator::apply_gate(StateVector& sv, const Gate& g) const {
-  apply_gate_generic<double>(sv.amplitudes(), sv.qubits(), g, /*parallel=*/true);
-}
-
 template <typename T>
 void apply_gate_hpc(std::span<basic_complex_t<T>> a, qubit_t n, const Gate& g) {
   using C = basic_complex_t<T>;
@@ -88,48 +74,32 @@ void apply_gate_hpc(std::span<basic_complex_t<T>> a, qubit_t n, const Gate& g) {
 template void apply_gate_hpc<float>(std::span<basic_complex_t<float>>, qubit_t, const Gate&);
 template void apply_gate_hpc<double>(std::span<basic_complex_t<double>>, qubit_t, const Gate&);
 
-void HpcSimulator::apply_gate(StateVector& sv, const Gate& g) const {
-  apply_gate_hpc<double>(sv.amplitudes(), sv.qubits(), g);
+namespace {
+
+void check_size(std::size_t amplitudes, const circuit::Circuit& c, const char* who) {
+  if (amplitudes != dim(c.qubits()))
+    throw std::invalid_argument(std::string(who) + ": amplitude count mismatch");
 }
 
-void HpcSimulator::run(StateVector& sv, const circuit::Circuit& c) const {
-  if (c.qubits() != sv.qubits()) throw std::invalid_argument("run: qubit count mismatch");
-  const auto& gates = c.gates();
-  if (!opts_.fuse_diagonal_runs) {
-    for (const Gate& g : gates) apply_gate(sv, g);
-    return;
-  }
-  // Peephole: collect maximal runs of diagonal gates (they all commute)
-  // and apply each run in one sweep.
-  std::vector<kernels::DiagonalTerm> run_terms;
-  std::size_t i = 0;
-  while (i < gates.size()) {
-    if (!gates[i].diagonal()) {
-      apply_gate(sv, gates[i]);
-      ++i;
-      continue;
-    }
-    run_terms.clear();
-    while (i < gates.size() && gates[i].diagonal() &&
-           run_terms.size() < opts_.max_fused_terms) {
-      const auto [d0, d1] = diagonal_entries(gates[i]);
-      run_terms.push_back({gates[i].targets[0], control_mask(gates[i]), d0, d1});
-      ++i;
-    }
-    if (run_terms.size() == 1) {
-      kernels::apply_diagonal<double>(sv.amplitudes(), sv.qubits(), run_terms[0].target,
-                                      run_terms[0].d0, run_terms[0].d1, run_terms[0].cmask);
-    } else {
-      kernels::apply_fused_diagonal<double>(sv.amplitudes(), run_terms);
-    }
-  }
+}  // namespace
+
+template <typename T>
+void run_hpc(std::span<basic_complex_t<T>> a, const circuit::Circuit& c) {
+  check_size(a.size(), c, "run_hpc");
+  for (const Gate& g : c.gates()) apply_gate_hpc<T>(a, c.qubits(), g);
 }
 
-std::unique_ptr<Simulator> make_simulator(const std::string& name) {
-  // Thin source-compatibility shim: the engine's backend registry is the
-  // single authority on names, and its unknown-name error enumerates
-  // engine::backend_names().
-  return engine::make_gate_simulator(name);
+template <typename T>
+void run_generic(std::span<basic_complex_t<T>> a, const circuit::Circuit& c, bool parallel) {
+  check_size(a.size(), c, "run_generic");
+  for (const Gate& g : c.gates()) apply_gate_generic<T>(a, c.qubits(), g, parallel);
 }
+
+template void run_hpc<float>(std::span<basic_complex_t<float>>, const circuit::Circuit&);
+template void run_hpc<double>(std::span<basic_complex_t<double>>, const circuit::Circuit&);
+template void run_generic<float>(std::span<basic_complex_t<float>>, const circuit::Circuit&,
+                                 bool);
+template void run_generic<double>(std::span<basic_complex_t<double>>, const circuit::Circuit&,
+                                  bool);
 
 }  // namespace qc::sim

@@ -8,7 +8,7 @@
 // bytes every kernel sweep moves — one extra qubit per node at equal
 // memory). Reductions (norms, probabilities, distributions) accumulate
 // in double for either precision. Gate application lives in kernels.hpp
-// / the Simulator classes; classical-function shortcuts in qc::emu.
+// / simulator.hpp; classical-function shortcuts in qc::emu.
 #pragma once
 
 #include <span>

@@ -1,7 +1,7 @@
 // Tests for the gate-fusion subsystem: the subset-embedding helpers, the
 // k-qubit apply kernels against dense oracles, the fusion pass against
-// the gate-product matrix, and the FusedSimulator backend against
-// HpcSimulator on the paper's workloads (QFT, Grover, random circuits).
+// the gate-product matrix, and the "fused" backend against the "hpc"
+// algorithm on the paper's workloads (QFT, Grover, random circuits).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,7 +9,8 @@
 #include <numbers>
 
 #include "circuit/builders.hpp"
-#include "fuse/fused_simulator.hpp"
+#include "engine/backend.hpp"
+#include "fuse/fusion.hpp"
 #include "sim/kernels.hpp"
 #include "sim/simulator.hpp"
 
@@ -57,14 +58,14 @@ Circuit grover_circuit(qubit_t n, index_t marked, int iterations) {
   return c;
 }
 
-/// max_abs_diff between the fused backend and HpcSimulator on `c`.
+/// max_abs_diff between the fused backend and the hpc algorithm on `c`.
 double backend_divergence(const Circuit& c, const FusionOptions& fusion, std::uint64_t seed) {
   sim::StateVector a = random_state(c.qubits(), seed);
   sim::StateVector b = copy_state(a);
-  sim::HpcSimulator().run(a, c);
-  FusedSimulator::Options opts;
+  sim::run_hpc(a.amplitudes(), c);
+  engine::RunOptions opts;
   opts.fusion = fusion;
-  FusedSimulator(opts).run(b, c);
+  engine::make_backend("fused", opts)->run_gates(b, c);
   return a.max_abs_diff(b);
 }
 
@@ -258,7 +259,7 @@ TEST(FusionPass, EmptyCircuit) {
   const FusedCircuit plan = fuse_circuit(c);
   EXPECT_TRUE(plan.items.empty());
   sim::StateVector sv(4);
-  FusedSimulator().run(sv, c);
+  execute_fused(sv.amplitudes(), 4, plan);
   EXPECT_EQ(sv[0], complex_t{1.0});
 }
 
@@ -312,8 +313,8 @@ TEST(FusedBackend, MatchesHpcOnGrover10) {
   const Circuit c = grover_circuit(n, /*marked=*/421, iterations);
   // Start from |0...0> (the algorithm's actual input), not a random state.
   sim::StateVector a(n), b(n);
-  sim::HpcSimulator().run(a, c);
-  FusedSimulator().run(b, c);
+  sim::run_hpc(a.amplitudes(), c);
+  engine::make_backend("fused")->run_gates(b, c);
   EXPECT_LT(a.max_abs_diff(b), 1e-12);
   // And the search must actually succeed.
   const auto dist = b.register_distribution(0, n);
@@ -360,19 +361,18 @@ TEST(ApplyMulti, GenericWidePathMatchesDenseOracle) {
 }
 
 TEST(FusedBackend, FactoryAndPlanReuse) {
-  const auto simulator = sim::make_simulator("fused");
-  EXPECT_EQ(simulator->name(), "fused");
+  const auto backend = engine::make_backend("fused");
+  EXPECT_EQ(backend->name(), "fused");
   const Circuit c = circuit::qft(9);
   sim::StateVector a = random_state(9, 71);
   sim::StateVector b = copy_state(a);
-  simulator->run(a, c);
-  // plan() + execute() twice must equal run() twice.
-  FusedSimulator fused;
-  const FusedCircuit plan = fused.plan(c);
+  backend->run_gates(a, c);
+  // One plan executed twice must equal two backend runs.
+  const FusedCircuit plan = fuse_circuit(c);
   EXPECT_GT(plan.fused_gates(), 0u);
-  fused.execute(b, plan);
-  simulator->run(a, c);
-  fused.execute(b, plan);
+  execute_fused(b.amplitudes(), 9, plan);
+  backend->run_gates(a, c);
+  execute_fused(b.amplitudes(), 9, plan);
   EXPECT_LT(a.max_abs_diff(b), 1e-12);
 }
 
@@ -380,8 +380,8 @@ TEST(FusedBackend, ApplyGateDelegatesToFastPaths) {
   const Gate g = circuit::make_controlled(GateKind::H, 0, 2);
   sim::StateVector a = random_state(5, 81);
   sim::StateVector b = copy_state(a);
-  sim::HpcSimulator().apply_gate(a, g);
-  FusedSimulator().apply_gate(b, g);
+  sim::apply_gate_hpc<double>(a.amplitudes(), 5, g);
+  engine::make_backend("fused")->run_gates(b, Circuit(5).append(g));
   EXPECT_EQ(a.max_abs_diff(b), 0.0);
 }
 
